@@ -7,14 +7,14 @@ per-experiment reports are all computed from them or from the cheaper polling
 mechanism in :mod:`repro.analysis.metrics`.
 
 Tracing is optional and off by default (the benchmark harness keeps it off for the
-large sweeps); when enabled its overhead is a single list append per event.
+large sweeps); when enabled its overhead is a single deque append per event.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional
+from collections import Counter, deque
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,8 +48,8 @@ class Tracer:
         self, kinds: Optional[Iterable[str]] = None, capacity: Optional[int] = None
     ) -> None:
         self._kinds = frozenset(kinds) if kinds is not None else None
-        self._capacity = capacity
-        self.events: List[TraceEvent] = []
+        # A capped tracer evicts its oldest event in O(1) on each append.
+        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.counts: Counter = Counter()
 
     def record(self, time: float, pid: int, kind: str, **details: object) -> None:
@@ -59,8 +59,6 @@ class Tracer:
         self.counts[kind] += 1
         event = TraceEvent(time=time, pid=pid, kind=kind, details=tuple(details.items()))
         self.events.append(event)
-        if self._capacity is not None and len(self.events) > self._capacity:
-            del self.events[0]
 
     # ------------------------------------------------------------------ queries --
     def of_kind(self, kind: str) -> List[TraceEvent]:

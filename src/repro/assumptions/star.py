@@ -37,7 +37,7 @@ import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.simulation.delays import DelayModel, MessageContext, UniformStream
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import validate_process_count
 
 #: Point property constants.
@@ -388,10 +388,9 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
         key = (sender, rn)
         cached = self._cache.get(key)
         if cached is None:
-            cached = (
-                RandomSource(self._rng_seed, label="slow").child(sender, rn).random()
-                < self.p_slow
-            )
+            # The stream of RandomSource(seed, label="slow").child(sender, rn),
+            # seeded directly: one hash and one generator seeding per key.
+            cached = RandomSource(derive_seed(self._rng_seed, "slow", sender, rn)).random() < self.p_slow
             self._cache[key] = cached
         return cached
 

@@ -26,6 +26,21 @@ lines 19-21     :meth:`leader`
 ``rec_from``,
 ``suspicions``  :attr:`records` (:class:`~repro.core.state.RoundRecords`)
 ==============  ================================================================
+
+Hot-path design
+---------------
+Every process receives n ALIVE and n SUSPICION messages per round, so the two
+message handlers run n² times per round and their per-message work bounds every
+Omega workload:
+
+* an ALIVE whose ``susp_level`` equals the receiver's own array is absorbed by one
+  tuple comparison (see :meth:`~repro.core.state.SuspicionLevels.merge_items`);
+* a SUSPICION checks all of its suspects against the membership at once, fetches
+  the round's counter dict once and increments it inline;
+* the leader is a pure function of the levels, so :meth:`_record_leader` runs only
+  after a level actually changed, or while the history is still empty (a message
+  can arrive before ``on_start`` under start jitter) — the leader histories are
+  the same as if it ran on every delivery.
 """
 
 from __future__ import annotations
@@ -80,6 +95,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         self.alpha = self.config.effective_alpha(n, t)
 
         process_ids = list(range(n))
+        self._process_id_set = frozenset(process_ids)
         self.susp_level = SuspicionLevels(process_ids)
         self.records = RoundRecords(owner=pid)
         self.sending_round = 0
@@ -161,7 +177,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     def _on_alive_message(self, env: Environment, sender: int, message: Alive) -> None:
         # merge_items consumes the message's snapshot tuple directly (no dict
         # materialised per delivery; one ALIVE is delivered to n-1 processes).
-        self.susp_level.merge_items(message.susp_level)
+        changed = self.susp_level.merge_items(message.susp_level)
         if message.rn >= self.receiving_round:
             self.records.add_reception(message.rn, sender)
             resync_gap = self.config.round_resync_gap
@@ -182,7 +198,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
                 and self.records.reception_count(self.receiving_round) < self.alpha
             ):
                 self._resync_round(env, message.rn)
-        self._record_leader(env)
+        if changed or not self.leader_history:
+            self._record_leader(env)
         self._try_finish_round(env)
 
     def _resync_round(self, env: Environment, rn: int) -> None:
@@ -252,15 +269,24 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     def _on_suspicion_message(
         self, env: Environment, sender: int, message: Suspicion
     ) -> None:
-        rn = message.rn
-        for suspect in message.suspects:
-            if suspect not in self.susp_level:
-                raise KeyError(f"suspicion names unknown process {suspect}")
-            count = self.records.add_suspicion(rn, suspect)
-            if count >= self.alpha and self._may_increase_level(suspect, rn):
-                self.susp_level.increase(suspect)
-                self.level_increments[suspect] += 1
-        self._record_leader(env)
+        changed = False
+        suspects = message.suspects
+        if suspects:
+            if not self._process_id_set.issuperset(suspects):
+                unknown = next(pid for pid in suspects if pid not in self._process_id_set)
+                raise KeyError(f"suspicion names unknown process {unknown}")
+            rn = message.rn
+            counters = self.records.suspicion_counters(rn)
+            alpha = self.alpha
+            for suspect in suspects:
+                count = counters.get(suspect, 0) + 1
+                counters[suspect] = count
+                if count >= alpha and self._may_increase_level(suspect, rn):
+                    self.susp_level.increase(suspect)
+                    self.level_increments[suspect] += 1
+                    changed = True
+        if changed or not self.leader_history:
+            self._record_leader(env)
 
     def _may_increase_level(self, suspect: int, rn: int) -> bool:
         """Guard of line 17.  Figure 1 imposes no extra condition."""

@@ -13,10 +13,23 @@ The paper's pseudo-code manipulates four data structures per process ``p_i``:
 
 The containers also expose the auditing hooks used by :mod:`repro.analysis.bounds`
 to verify the boundedness claims of Section 6 (Theorem 4 and Lemma 8).
+
+Hot-path design
+---------------
+Every process merges the ``susp_level`` snapshot of every ALIVE it receives (n-1
+merges per broadcast), and in a stable run almost every snapshot equals the
+receiver's own array.  :class:`SuspicionLevels` therefore caches its own snapshot
+tuple (dropped on every mutation); :meth:`SuspicionLevels.merge_items` compares the
+incoming pairs with it in one C-level tuple comparison and returns at once on a
+match, and otherwise reports whether any entry changed so the caller can skip the
+leader bookkeeping.  :class:`RoundRecords` keeps a min-heap of the rounds present in
+its tables, so :meth:`RoundRecords.purge_below` pops exactly the rounds it drops
+instead of scanning every tracked round on each round close.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 
@@ -40,6 +53,8 @@ class SuspicionLevels:
         # *non*-leader entry leaves the minimum untouched and only an increase of
         # the cached leader's own entry invalidates the cache.
         self._leader_cache: Optional[int] = None
+        # Cached ``snapshot()`` result, dropped by every mutation.
+        self._snapshot: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __getitem__(self, pid: int) -> int:
         return self._levels[pid]
@@ -58,16 +73,23 @@ class SuspicionLevels:
         """Return a copy of the array as a dictionary."""
         return dict(self._levels)
 
-    def merge(self, other: Mapping[int, int]) -> None:
-        """Element-wise maximum with *other* (line 5: gossip absorption)."""
-        self.merge_items(other.items())
+    def merge(self, other: Mapping[int, int]) -> bool:
+        """Element-wise maximum with *other* (line 5: gossip absorption).
 
-    def merge_items(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        Return True when at least one entry increased.
+        """
+        return self.merge_items(other.items())
+
+    def merge_items(self, pairs: Iterable[Tuple[int, int]]) -> bool:
         """Like :meth:`merge` but over ``(pid, level)`` pairs.
 
         ALIVE messages carry their snapshot as a tuple of pairs; merging it
-        directly avoids materialising a dictionary per delivered message.
+        directly avoids materialising a dictionary per delivered message, and a
+        snapshot equal to this array's own is absorbed by one tuple comparison.
         """
+        if pairs == self.snapshot():
+            return False
+        changed = False
         levels = self._levels
         for pid, level in pairs:
             current = levels.get(pid)
@@ -77,15 +99,20 @@ class SuspicionLevels:
                 raise KeyError(f"unknown process id {pid} in gossiped susp_level")
             if level > current:
                 levels[pid] = level
+                changed = True
                 if level > self.max_ever:
                     self.max_ever = level
                 if pid == self._leader_cache:
                     self._leader_cache = None
+        if changed:
+            self._snapshot = None
+        return changed
 
     def increase(self, pid: int) -> int:
         """Increment the entry of *pid* (line 17) and return the new value."""
         value = self._levels[pid] + 1
         self._levels[pid] = value
+        self._snapshot = None
         if value > self.max_ever:
             self.max_ever = value
         if pid == self._leader_cache:
@@ -118,8 +145,15 @@ class SuspicionLevels:
         return leader
 
     def snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        """Return an immutable snapshot suitable for embedding in an ALIVE message."""
-        return tuple(sorted(self._levels.items()))
+        """Return an immutable snapshot suitable for embedding in an ALIVE message.
+
+        The tuple is cached until the next mutation, so successive ALIVE
+        broadcasts of an unchanged array share one object.
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = tuple(sorted(self._levels.items()))
+        return snapshot
 
 
 class RoundRecords:
@@ -134,13 +168,18 @@ class RoundRecords:
     ``purge_below(limit)`` drops rounds strictly below ``limit``.  The algorithm only
     calls it with limits that are below every round the line-``*`` window test can
     still consult, so collection never changes a decision; tests compare GC-enabled
-    and GC-disabled runs to confirm this.
+    and GC-disabled runs to confirm this.  Every round is pushed on a min-heap when
+    its first table entry is created (a late SUSPICION may still create one below
+    ``purged_below``), so a purge pops exactly the rounds it drops.
     """
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self._rec_from: Dict[int, Set[int]] = {}
         self._suspicions: Dict[int, Dict[int, int]] = {}
+        # One entry per (table, round) key currently present: a round with both a
+        # reception set and counters appears twice.
+        self._rounds: List[int] = []
         #: Rounds strictly below this limit have been purged.
         self.purged_below: int = 0
 
@@ -155,6 +194,7 @@ class RoundRecords:
         if record is None:
             record = {self.owner}
             self._rec_from[rn] = record
+            heapq.heappush(self._rounds, rn)
         return record
 
     def add_reception(self, rn: int, sender: int) -> None:
@@ -169,9 +209,21 @@ class RoundRecords:
         return 1 if record is None else len(record)
 
     # -- suspicions -------------------------------------------------------------
+    def suspicion_counters(self, rn: int) -> Dict[int, int]:
+        """Return the (mutable) ``suspicions[rn]`` counter dict, creating it.
+
+        Unlike :meth:`rec_from`, a round below ``purged_below`` gets a real entry
+        (dropped by the next purge), exactly as the paper's unbounded array would.
+        """
+        counters = self._suspicions.get(rn)
+        if counters is None:
+            counters = self._suspicions[rn] = {}
+            heapq.heappush(self._rounds, rn)
+        return counters
+
     def add_suspicion(self, rn: int, suspect: int) -> int:
         """Increment ``suspicions[rn][suspect]`` (line 15) and return the new count."""
-        counters = self._suspicions.setdefault(rn, {})
+        counters = self.suspicion_counters(rn)
         value = counters.get(suspect, 0) + 1
         counters[suspect] = value
         return value
@@ -210,12 +262,16 @@ class RoundRecords:
         """Drop bookkeeping for rounds strictly below *limit*; return #rounds dropped."""
         if limit <= self.purged_below:
             return 0
+        rounds = self._rounds
         dropped = 0
-        for table in (self._rec_from, self._suspicions):
-            stale = [rn for rn in table if rn < limit]
-            dropped += len(stale)
-            for rn in stale:
-                del table[rn]
+        while rounds and rounds[0] < limit:
+            # Each heap entry stands for one table entry.  A round present in both
+            # tables has two heap entries, both below the limit: the first pop
+            # clears both tables and the second finds them already empty.
+            rn = heapq.heappop(rounds)
+            self._rec_from.pop(rn, None)
+            self._suspicions.pop(rn, None)
+            dropped += 1
         self.purged_below = limit
         return dropped
 

@@ -25,10 +25,12 @@ The paper's algorithms broadcast ALIVE/SUSPICION every period — n² messages p
 round — so per-message cost dominates simulated throughput.  Three choices keep one
 message cheap:
 
-* :meth:`Network.broadcast` is the native fan-out entry point: the innermost tag and
-  round number of the (possibly wrapped) message are computed **once** per broadcast
-  and shared by every destination, instead of re-walking the envelope chain per
-  destination as a loop of :meth:`Network.send` calls would.
+* :meth:`Network.send` and :meth:`Network.broadcast` share one fan-out loop
+  (``send`` is a fan-out to a single destination): the innermost tag and round
+  number of the (possibly wrapped) message are computed **once** per call and shared
+  by every destination, the per-destination work runs inline in the loop with no
+  method call of its own, and the link-state and tracer branches cost a local
+  ``is None`` test each when no fault matrix or tracer is installed.
 * :class:`Envelope` is a plain ``__slots__`` object that carries its precomputed
   ``tag``, and is handed directly to the scheduler as the event argument — no
   closure, no dict, and delivery never re-derives the tag.
@@ -337,22 +339,10 @@ class Network:
         affects loss decisions or RNG draws, so passing 0.0 is byte-identical
         to not passing it.
 
-        Returns the in-flight :class:`Envelope`, or ``None`` when the delay model
-        dropped the message (lossy links only).
+        Returns the in-flight :class:`Envelope`, or ``None`` when the message was
+        dropped (unreachable destination or lossy link).
         """
-        if dest not in self._deliver:
-            raise KeyError(f"destination process {dest} is not registered")
-        tag = unwrap_tag(message)
-        self.stats.record_sent(tag, sender)
-        return self._dispatch(
-            sender,
-            dest,
-            message,
-            tag,
-            unwrap_round_number(message),
-            self._scheduler.now,
-            extra_delay,
-        )
+        return self._fan_out(sender, (dest,), message, extra_delay)[0]
 
     def broadcast(
         self,
@@ -363,128 +353,124 @@ class Network:
     ) -> List[Optional[Envelope]]:
         """Send *message* from *sender* to every process in *dests*.
 
-        Semantically identical to a loop of :meth:`send` calls over *dests* (one
-        independent delay decision per destination, in order; per-destination
-        drops; identical stats), but the envelope walk — innermost tag and round
-        number of a possibly :class:`~repro.core.messages.Wrapped` message — is
-        done once and shared by the whole fan-out.
+        Identical to a loop of :meth:`send` calls over *dests* (one independent
+        delay decision per destination, in order; per-destination drops;
+        identical stats and trace records): both run the same fan-out loop.
 
-        Returns the per-destination in-flight envelopes (``None`` where the delay
-        model dropped the message).
+        Returns the per-destination in-flight envelopes (``None`` where the
+        message was dropped).
         """
         if not dests:
             # Parity with the loop-of-sends path: no stats entries, not even
             # zero-count tag/sender keys.
             return []
-        deliver = self._deliver
-        for dest in dests:
-            if dest not in deliver:
-                raise KeyError(f"destination process {dest} is not registered")
-        tag = unwrap_tag(message)
-        rn = unwrap_round_number(message)
-        now = self._scheduler.now
-        self.stats.record_sent(tag, sender, count=len(dests))
-        dispatch = self._dispatch
-        return [
-            dispatch(sender, dest, message, tag, rn, now, extra_delay)
-            for dest in dests
-        ]
+        return self._fan_out(sender, dests, message, extra_delay)
 
-    def _dispatch(
+    def _fan_out(
         self,
         sender: int,
-        dest: int,
+        dests: Sequence[int],
         message: Message,
-        tag: str,
-        round_number: Optional[int],
-        send_time: float,
-        extra_delay: float = 0.0,
-    ) -> Optional[Envelope]:
-        """Decide the delay of one (message, destination) pair and schedule delivery.
+        extra_delay: float,
+    ) -> List[Optional[Envelope]]:
+        """Decide the delay of *message* to each of *dests* and schedule delivery.
 
-        ``record_sent`` has already been done by the caller (once per destination
-        for :meth:`send`, in bulk for :meth:`broadcast`).
+        Every destination is validated before anything is counted or drawn.  The
+        envelope walk (innermost tag and round number of a possibly
+        :class:`~repro.core.messages.Wrapped` message) and ``record_sent`` are
+        done once for the whole fan-out.
 
         Reachability is decided here, at send time: a message blocked by the
         current partition / link cut is lost even if the fault heals before the
         delay model would have delivered it, and a message already in flight
         when a fault starts is unaffected.
         """
+        registered = self._deliver
+        for dest in dests:
+            if dest not in registered:
+                raise KeyError(f"destination process {dest} is not registered")
+        tag = unwrap_tag(message)
+        round_number = unwrap_round_number(message)
+        send_time = self._scheduler.now
+        stats = self.stats
+        stats.record_sent(tag, sender, count=len(dests))
         link_state = self._link_state
-        if link_state is not None and not link_state.reachable(sender, dest):
-            self.stats.record_dropped(tag)
-            if self._tracer is not None:
-                self._tracer.record(
+        tracer = self._tracer
+        delay_model = self.delay_model
+        decide = delay_model.delay
+        push_event = self._push_event
+        deliver_envelope = self._deliver_envelope
+        msg_ids = self._msg_ids
+        envelopes: List[Optional[Envelope]] = []
+        for dest in dests:
+            if link_state is not None and not link_state.reachable(sender, dest):
+                stats.record_dropped(tag)
+                if tracer is not None:
+                    tracer.record(
+                        send_time,
+                        sender,
+                        "message_dropped",
+                        tag=tag,
+                        dest=dest,
+                        reason="unreachable",
+                    )
+                envelopes.append(None)
+                continue
+            delay = decide(MessageContext(sender, dest, tag, round_number, send_time))
+            if delay is not None and link_state is not None:
+                delay = link_state.adjust(sender, dest, delay)
+            if delay is None:
+                stats.record_dropped(tag)
+                if tracer is not None:
+                    tracer.record(send_time, sender, "message_dropped", tag=tag, dest=dest)
+                envelopes.append(None)
+                continue
+            if delay < 0:
+                raise ValueError(
+                    f"delay model {delay_model.describe()} returned negative delay "
+                    f"{delay} for {tag} {sender}->{dest}"
+                )
+            if extra_delay:
+                # Stable-storage write cost: the sender fsynced before this send,
+                # so the message leaves — and arrives — that much later.
+                delay += extra_delay
+            payload = message
+            corrupted = False
+            if link_state is not None:
+                # Corrupting links tamper with the payload but still deliver: the
+                # garbled copy replaces the message for *this* destination only.
+                tampered = link_state.maybe_corrupt(sender, dest, message)
+                if tampered is not None:
+                    payload = tampered
+                    corrupted = True
+                    stats.record_corrupted(tag)
+                    if tracer is not None:
+                        tracer.record(
+                            send_time, sender, "message_corrupted", tag=tag, dest=dest
+                        )
+            deliver_time = send_time + delay
+            envelope = Envelope(
+                next(msg_ids),
+                sender,
+                dest,
+                payload,
+                send_time,
+                deliver_time,
+                tag,
+                corrupted,
+            )
+            push_event(deliver_time, deliver_envelope, envelope)
+            if tracer is not None:
+                tracer.record(
                     send_time,
                     sender,
-                    "message_dropped",
+                    "message_sent",
                     tag=tag,
                     dest=dest,
-                    reason="unreachable",
+                    deliver_time=deliver_time,
                 )
-            return None
-        delay = self.delay_model.delay(
-            MessageContext(
-                sender=sender,
-                dest=dest,
-                tag=tag,
-                round_number=round_number,
-                send_time=send_time,
-            )
-        )
-        if delay is not None and link_state is not None:
-            delay = link_state.adjust(sender, dest, delay)
-        if delay is None:
-            self.stats.record_dropped(tag)
-            if self._tracer is not None:
-                self._tracer.record(
-                    send_time, sender, "message_dropped", tag=tag, dest=dest
-                )
-            return None
-        if delay < 0:
-            raise ValueError(
-                f"delay model {self.delay_model.describe()} returned negative delay "
-                f"{delay} for {tag} {sender}->{dest}"
-            )
-        if extra_delay:
-            # Stable-storage write cost: the sender fsynced before this send,
-            # so the message leaves — and arrives — that much later.
-            delay += extra_delay
-        corrupted = False
-        if link_state is not None:
-            # Corrupting links tamper with the payload but still deliver: the
-            # garbled copy replaces the message for *this* destination only
-            # (broadcast envelopes are shared, so a fresh object is built).
-            tampered = link_state.maybe_corrupt(sender, dest, message)
-            if tampered is not None:
-                message = tampered
-                corrupted = True
-                self.stats.record_corrupted(tag)
-                if self._tracer is not None:
-                    self._tracer.record(
-                        send_time, sender, "message_corrupted", tag=tag, dest=dest
-                    )
-        envelope = Envelope(
-            next(self._msg_ids),
-            sender,
-            dest,
-            message,
-            send_time,
-            send_time + delay,
-            tag,
-            corrupted,
-        )
-        self._push_event(envelope.deliver_time, self._deliver_envelope, envelope)
-        if self._tracer is not None:
-            self._tracer.record(
-                send_time,
-                sender,
-                "message_sent",
-                tag=tag,
-                dest=dest,
-                deliver_time=envelope.deliver_time,
-            )
-        return envelope
+            envelopes.append(envelope)
+        return envelopes
 
     def _deliver_envelope(self, envelope: Envelope) -> None:
         dest = envelope.dest

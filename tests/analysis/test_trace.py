@@ -27,6 +27,22 @@ class TestTracer:
         assert tracer.events[-1].detail("index") == 4
         assert tracer.count("x") == 5
 
+    def test_capped_tracer_keeps_newest_events(self):
+        tracer = Tracer(capacity=3)
+        for index in range(10):
+            tracer.record(float(index), 0, "x", index=index)
+        assert [event.detail("index") for event in tracer.events] == [7, 8, 9]
+        assert tracer.events[0].detail("index") == 7
+        assert tracer.events[-1].detail("index") == 9
+        assert len(tracer) == 3
+        assert [event.time for event in tracer.of_kind("x")] == [7.0, 8.0, 9.0]
+
+    def test_uncapped_tracer_keeps_everything(self):
+        tracer = Tracer()
+        for index in range(10):
+            tracer.record(float(index), 0, "x", index=index)
+        assert [event.detail("index") for event in tracer.events] == list(range(10))
+
     def test_of_kind_and_for_process(self):
         tracer = Tracer()
         tracer.record(1.0, 0, "a")

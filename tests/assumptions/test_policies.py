@@ -8,6 +8,7 @@ from repro.assumptions.star import (
     FixedSlowSetPolicy,
     RandomSlowPolicy,
 )
+from repro.util.rng import RandomSource
 
 
 class TestAlwaysFast:
@@ -48,6 +49,15 @@ class TestRandomSlow:
         policy = RandomSlowPolicy(p_slow=1.0, seed=1, exempt=[2])
         assert not any(policy.is_slow(2, rn) for rn in range(1, 50))
         assert all(policy.is_slow(0, rn) for rn in range(1, 50))
+
+    def test_classification_matches_child_source_derivation(self):
+        # is_slow draws from the same stream as RandomSource(seed, "slow").child(sender, rn).
+        for seed in (0, 7, 2**40 + 3):
+            policy = RandomSlowPolicy(p_slow=0.5, seed=seed)
+            for sender in range(6):
+                for rn in range(0, 40):
+                    draw = RandomSource(seed, label="slow").child(sender, rn).random()
+                    assert policy.is_slow(sender, rn) == (draw < 0.5)
 
     def test_rate_roughly_matches_probability(self):
         policy = RandomSlowPolicy(p_slow=0.3, seed=11)

@@ -11,9 +11,14 @@ import pytest
 
 from repro.core.config import OmegaConfig
 from repro.core.figure1 import Figure1Omega
+from repro.core.figure3 import Figure3Omega
 from repro.core.messages import Alive, Suspicion
 from repro.core.omega_base import ALIVE_TIMER
+from repro.simulation.delays import UniformDelay
+from repro.simulation.faults import FaultPlan
+from repro.simulation.system import System, SystemConfig
 from repro.testing import FakeEnvironment, deliver_round_alive, deliver_suspicions
+from repro.util.rng import RandomSource
 
 
 def make(pid=0, n=5, t=2, **config_kwargs):
@@ -199,6 +204,19 @@ class TestSuspicionHandling:
         with pytest.raises(KeyError):
             algorithm.on_message(env, 1, Suspicion.make(1, [9]))
 
+    def test_unknown_suspect_named_in_error_and_nothing_counted(self):
+        algorithm, env = make()
+        algorithm.on_start(env)
+        with pytest.raises(KeyError, match="unknown process 7"):
+            algorithm.on_message(env, 1, Suspicion.make(1, [2, 7]))
+        assert algorithm.records.suspicion_count(1, 2) == 0
+
+    def test_empty_suspicion_leaves_no_counter_entry(self):
+        algorithm, env = make()
+        algorithm.on_start(env)
+        algorithm.on_message(env, 1, Suspicion.make(1, []))
+        assert algorithm.records.tracked_rounds() == 0
+
     def test_level_increment_counter(self):
         algorithm, env = make()
         algorithm.on_start(env)
@@ -223,6 +241,56 @@ class TestLeaderElection:
         deliver_suspicions(algorithm, env, rn=1, suspect=0, senders=[1, 2, 3])
         leaders = [leader for _, leader in algorithm.leader_history]
         assert leaders == [0, 1]
+
+
+class TestLeaderBookkeeping:
+    """The leader is recorded only after a level change, with unchanged histories."""
+
+    def test_message_before_start_records_initial_leader(self):
+        # Under start jitter a process can receive messages before on_start.
+        algorithm, env = make(pid=2)
+        env.advance(0.5)
+        algorithm.on_message(env, 1, Alive.make(1, {pid: 0 for pid in range(5)}))
+        assert algorithm.leader_history == [(0.5, 0)]
+        other, other_env = make(pid=2)
+        other_env.advance(0.25)
+        other.on_message(other_env, 1, Suspicion.make(1, []))
+        assert other.leader_history == [(0.25, 0)]
+
+    def test_gossiped_level_change_is_recorded(self):
+        algorithm, env = make(pid=2)
+        algorithm.on_start(env)
+        env.advance(0.5)
+        levels = {pid: 0 for pid in range(5)}
+        levels[0] = 1
+        algorithm.on_message(env, 1, Alive.make(1, levels))
+        assert algorithm.leader_history == [(0.0, 0), (0.5, 1)]
+
+    def test_histories_match_recording_on_every_delivery(self):
+        class RecordEveryDelivery(Figure3Omega):
+            def on_message(self, env, sender, message):
+                super().on_message(env, sender, message)
+                self._record_leader(env)
+
+        n, t = 7, 3
+        config = OmegaConfig(round_resync_gap=3, history_horizon=8)
+
+        def histories(cls, seed):
+            plan = FaultPlan.random(
+                n, t, RandomSource(seed, label="plan"), horizon=80.0,
+                partition_probability=1.0, flaky_link_count=2, recover_probability=1.0,
+            )
+            system = System(
+                SystemConfig(n=n, t=t, seed=seed, start_jitter=1.0),
+                lambda pid: cls(pid=pid, n=n, t=t, config=config),
+                UniformDelay(0.2, 2.5, RandomSource(seed, label="delay")),
+                fault_plan=plan,
+            )
+            system.run_until(160.0)
+            return [shell.algorithm.leader_history for shell in system.shells]
+
+        for seed in (1, 2, 3):
+            assert histories(Figure3Omega, seed) == histories(RecordEveryDelivery, seed)
 
 
 class TestRoundResync:

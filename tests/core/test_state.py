@@ -1,5 +1,7 @@
 """Unit tests for the per-process state containers."""
 
+import random
+
 import pytest
 
 from repro.core.state import RoundRecords, SuspicionLevels, lexicographic_min
@@ -152,6 +154,62 @@ class TestRoundRecords:
         records.purge_below(3)
         assert records.purge_below(2) == 0
         assert records.purged_below == 3
+
+    def test_late_suspicion_below_purge_limit_is_dropped_by_next_purge(self):
+        records = RoundRecords(owner=0)
+        for rn in range(1, 10):
+            records.add_reception(rn, 1)
+        records.purge_below(6)
+        # A late SUSPICION for a purged round still creates an entry ...
+        records.add_suspicion(2, 1)
+        assert records.suspicion_count(2, 1) == 1
+        assert records.tracked_rounds() == 5
+        # ... and the next purge drops it with the rounds below the new limit.
+        assert records.purge_below(8) == 3
+        assert records.suspicion_count(2, 1) == 0
+        assert records.tracked_rounds() == 2
+
+    def test_purge_matches_scan_reference(self):
+        """Random interleavings of insertions and purges against a scan-based purge."""
+        rng = random.Random(20261017)
+        for _ in range(30):
+            records = RoundRecords(owner=0)
+            rec_from = {}
+            suspicions = {}
+            purged_below = 0
+            top = 1
+            for _ in range(400):
+                action = rng.random()
+                if action < 0.4:
+                    rn = max(1, top + rng.randint(-8, 3))
+                    top = max(top, rn)
+                    sender = rng.randint(0, 4)
+                    records.add_reception(rn, sender)
+                    if rn >= purged_below:
+                        rec_from.setdefault(rn, {0}).add(sender)
+                elif action < 0.8:
+                    # Late suspicions may land far below the purge limit.
+                    rn = max(1, top + rng.randint(-40, 3))
+                    top = max(top, rn)
+                    suspect = rng.randint(0, 4)
+                    records.add_suspicion(rn, suspect)
+                    counters = suspicions.setdefault(rn, {})
+                    counters[suspect] = counters.get(suspect, 0) + 1
+                else:
+                    limit = top - rng.randint(-2, 12)
+                    expected = 0
+                    if limit > purged_below:
+                        for table in (rec_from, suspicions):
+                            stale = [rn for rn in table if rn < limit]
+                            expected += len(stale)
+                            for rn in stale:
+                                del table[rn]
+                        purged_below = limit
+                    assert records.purge_below(limit) == expected
+                    assert records.purged_below == purged_below
+                assert records._rec_from == rec_from
+                assert records._suspicions == suspicions
+                assert records.tracked_rounds() == len(set(rec_from) | set(suspicions))
 
     def test_memory_cells(self):
         records = RoundRecords(owner=0)

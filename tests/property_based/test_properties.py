@@ -92,6 +92,41 @@ class TestSuspicionLevelLattice:
             previous = current
 
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("merge"), st.dictionaries(st.integers(0, 4), st.integers(0, 6))),
+                st.tuples(st.just("merge_own"), st.none()),
+                st.tuples(st.just("merge_stale"), st.integers(0, 30)),
+                st.tuples(st.just("increase"), st.integers(0, 4)),
+                st.tuples(st.just("snapshot"), st.none()),
+            ),
+            max_size=40,
+        )
+    )
+    def test_snapshot_cache_and_merge_report(self, operations):
+        """The cached snapshot always matches the array, and ``merge_items``
+        reports a change exactly when ``as_dict()`` changed."""
+        levels = SuspicionLevels(range(5))
+        taken = [levels.snapshot()]
+        for kind, payload in operations:
+            before = levels.as_dict()
+            if kind == "increase":
+                levels.increase(payload)
+            elif kind == "snapshot":
+                taken.append(levels.snapshot())
+            else:
+                if kind == "merge":
+                    pairs = tuple(sorted(payload.items()))
+                elif kind == "merge_own":
+                    pairs = levels.snapshot()
+                else:
+                    pairs = taken[payload % len(taken)]
+                changed = levels.merge_items(pairs)
+                assert changed == (levels.as_dict() != before)
+            assert levels.snapshot() == tuple(sorted(levels.as_dict().items()))
+
+
 class TestFigure3Invariant:
     @settings(max_examples=40, deadline=None)
     @given(

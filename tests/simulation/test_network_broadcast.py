@@ -9,8 +9,12 @@ discard at delivery time, and identical stats — while computing the envelope w
 
 import pytest
 
+from repro.analysis.trace import Tracer
+from repro.consensus.commands import Command
+from repro.consensus.messages import AcceptRequest
 from repro.core.messages import Alive, Wrapped
 from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext, UniformDelay
+from repro.simulation.faults import CorruptLink, LinkFault, LinkState
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
 from repro.util.rng import RandomSource
@@ -54,9 +58,9 @@ class _Endpoint:
         return self.alive
 
 
-def make_network(delay_model, n=4):
+def make_network(delay_model, n=4, tracer=None):
     scheduler = EventScheduler()
-    network = Network(scheduler, delay_model)
+    network = Network(scheduler, delay_model, tracer=tracer)
     endpoints = {}
     for pid in range(n):
         endpoint = _Endpoint()
@@ -173,6 +177,84 @@ class TestStatsParity:
     def test_sent_counted_under_inner_tag_per_destination(self):
         stats, _ = self._run(use_broadcast=True)
         assert stats["sent"] == {"ALIVE": 3}
+
+
+class TestFaultAndTraceParity:
+    """Broadcast vs a loop of sends under a degraded topology and a tracer.
+
+    Every link-state branch of the fan-out loop is exercised: a partitioned-off
+    destination and a cut link (unreachable, no delay draw), a lossy slowed link
+    (loss draws), a corrupting link (garbled per-destination copies) and a
+    slowed sender, plus the stable-storage ``extra_delay``.
+    """
+
+    N = 6
+
+    def _link_state(self):
+        link_state = LinkState(RandomSource(11, label="links"))
+        link_state.set_partition(((0, 1, 2, 3, 4),), self.N)  # 5 is cut off
+        link_state.set_link_fault(LinkFault(time=0.0, sender=0, dest=1, block=True))
+        link_state.set_link_fault(
+            LinkFault(time=0.0, sender=0, dest=2, loss_probability=0.5, delay_factor=2.0)
+        )
+        link_state.set_corruption(CorruptLink(time=0.0, sender=0, dest=3, probability=0.6))
+        link_state.set_slowdown(0, 1.5)
+        return link_state
+
+    def _run(self, use_broadcast: bool):
+        delay_rng = RandomSource(5, label="parity-delay")
+        tracer = Tracer()
+        scheduler, network, endpoints = make_network(
+            UniformDelay(0.5, 3.0, delay_rng), n=self.N, tracer=tracer
+        )
+        link_state = self._link_state()
+        network.install_link_state(link_state)
+        dests = tuple(range(self.N))
+        envelopes = []
+        for index in range(40):
+            command = Command.put("client-1", index, f"k{index}", "value")
+            message = Wrapped(
+                channel="consensus", inner=AcceptRequest(instance=index, ballot=1, value=command)
+            )
+            extra_delay = 0.25 if index % 3 == 0 else 0.0
+            if use_broadcast:
+                envelopes.extend(network.broadcast(0, dests, message, extra_delay=extra_delay))
+            else:
+                for dest in dests:
+                    envelopes.append(network.send(0, dest, message, extra_delay=extra_delay))
+            scheduler.run_until(float(index + 1))
+        scheduler.run_until(200.0)
+        return {
+            "stats": network.stats.as_dict(),
+            "envelopes": [
+                None
+                if env is None
+                else (env.msg_id, env.dest, env.message, env.send_time,
+                      env.deliver_time, env.tag, env.corrupted)
+                for env in envelopes
+            ],
+            "deliveries": {pid: endpoint.received for pid, endpoint in endpoints.items()},
+            "trace": list(tracer.events),
+            # The next draw of each stream shows both paths consumed the same draws.
+            "next_draws": (delay_rng.random(), link_state._rng.random()),
+        }
+
+    def test_broadcast_matches_loop_of_sends(self):
+        broadcast = self._run(use_broadcast=True)
+        loop = self._run(use_broadcast=False)
+        assert broadcast == loop
+
+    def test_every_link_state_branch_is_exercised(self):
+        result = self._run(use_broadcast=True)
+        stats = result["stats"]
+        kinds = {event.kind for event in result["trace"]}
+        reasons = {event.detail("reason") for event in result["trace"] if event.kind == "message_dropped"}
+        assert {"message_sent", "message_dropped", "message_corrupted", "message_delivered"} <= kinds
+        assert reasons == {"unreachable", None}  # cut links and lossy-link losses
+        assert 0 < stats["total_corrupted"] < 40
+        assert stats["total_sent"] == 40 * self.N
+        assert result["deliveries"][1] == [] and result["deliveries"][5] == []
+        assert 0 < len(result["deliveries"][2]) < 40
 
 
 class TestRegisteredIds:
