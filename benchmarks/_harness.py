@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis import ExperimentResult, build_system, run_omega_experiment
 from repro.assumptions.base import Scenario
-from repro.simulation.crash import CrashSchedule
+from repro.simulation.faults import FaultPlan
 from repro.util.tables import format_table
 
 
@@ -38,7 +38,7 @@ def run_and_summarize(
     algorithm_cls,
     duration: float,
     seed: int,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> ExperimentResult:
     """Run one experiment (thin wrapper kept for symmetry with the tests)."""
     return run_omega_experiment(
@@ -46,7 +46,7 @@ def run_and_summarize(
         algorithm_cls,
         duration=duration,
         seed=seed,
-        crash_schedule=crash_schedule,
+        fault_plan=fault_plan,
     )
 
 

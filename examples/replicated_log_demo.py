@@ -4,13 +4,14 @@
 Seven processes run the Omega + consensus stack.  Clients submit commands at
 different processes; two processes crash along the way; the intermittent rotating
 t-star assumption holds.  Every surviving process ends up with the same totally
-ordered log containing every submitted command.
+ordered log containing every command submitted at a correct process; the demo
+exits non-zero otherwise.
 
 Run with:  python examples/replicated_log_demo.py
 """
 
 from repro import IntermittentRotatingStarScenario
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.system_builders import build_consensus_system
 
 N, T = 7, 3
@@ -19,10 +20,8 @@ HORIZON = 400.0
 
 def main() -> None:
     scenario = IntermittentRotatingStarScenario(n=N, t=T, center=3, seed=11, max_gap=4)
-    crashes = CrashSchedule({0: 80.0, 6: 160.0})
-    system = build_consensus_system(
-        n=N, t=T, scenario=scenario, seed=11, crash_schedule=crashes
-    )
+    crashes = FaultPlan.crashes({0: 80.0, 6: 160.0})
+    system = build_consensus_system(n=N, t=T, scenario=scenario, seed=11, fault_plan=crashes)
 
     # A small banking workload: each process submits a couple of transfers.
     commands = []
@@ -33,7 +32,7 @@ def main() -> None:
             shell.algorithm.submit(command)
 
     print(f"submitted {len(commands)} commands at {N} processes")
-    print(f"crashes: {dict(crashes.items())}")
+    print(f"crashes: {crashes.describe()}")
     print()
 
     for checkpoint in (100.0, 200.0, 300.0, HORIZON):
@@ -45,6 +44,7 @@ def main() -> None:
 
     print()
     reference = None
+    divergent = []
     for shell in system.correct_shells():
         log = shell.algorithm.delivered()
         if reference is None:
@@ -53,12 +53,22 @@ def main() -> None:
         else:
             status = "identical" if log == reference else "DIFFERENT (BUG!)"
             print(f"log at process {shell.pid}: {status}")
+            if log != reference:
+                divergent.append(shell.pid)
 
     missing = set(commands) - set(reference or [])
-    still_pending = {c for c in missing if not c.startswith(("transfer#0", "transfer#6"))}
+    crashed = tuple(f"transfer#{pid}-" for pid in crashes.final_down_ids())
+    still_pending = {c for c in missing if not c.startswith(crashed)}
     print()
     print(f"commands from crashed processes not delivered: {sorted(missing)}")
     print(f"commands from correct processes not delivered: {sorted(still_pending)} (must be empty)")
+    failures = []
+    if divergent:
+        failures.append(f"logs differ at processes {divergent}")
+    if still_pending:
+        failures.append(f"commands from correct processes not delivered: {sorted(still_pending)}")
+    if failures:
+        raise SystemExit("replicated log demo FAILED: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

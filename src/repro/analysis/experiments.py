@@ -18,7 +18,7 @@ from repro.assumptions.base import Scenario
 from repro.core.config import OmegaConfig
 from repro.core.interfaces import Process
 from repro.core.omega_base import RotatingStarOmegaBase
-from repro.simulation.crash import CrashSchedule
+from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
 from repro.util.validation import require_positive
 
@@ -51,7 +51,7 @@ class ExperimentResult:
     rounds_completed: int
     #: Boundedness audit (Theorem 4 / Lemma 8 / timeouts).
     bounds: BoundsAudit
-    #: Ids of the processes that crashed during the run.
+    #: Ids of the processes down at the end of the run (crashed, not recovered).
     crashed: List[int]
 
     @property
@@ -102,20 +102,23 @@ def build_system(
     algorithm_cls: Type[RotatingStarOmegaBase],
     seed: int = 0,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
     start_jitter: float = 0.0,
     tracer: Optional[object] = None,
 ) -> System:
-    """Build a simulated system running *algorithm_cls* under *scenario*."""
+    """Build a simulated system running *algorithm_cls* under *scenario*.
+
+    Raises ``ValueError`` when *fault_plan* breaks the scenario's assumption
+    for good (see :meth:`~repro.assumptions.base.Scenario.fault_plan_violations`),
+    e.g. crashes the star centre without recovering it.
+    """
     omega_config = config if config is not None else scenario.recommended_omega_config()
-    schedule = crash_schedule or CrashSchedule.none()
-    schedule.validate(scenario.n, scenario.t)
-    protected = scenario.protected_processes()
-    overlap = protected.intersection(schedule.faulty_ids())
-    if overlap:
+    plan = fault_plan if fault_plan is not None else FaultPlan.none()
+    violations = scenario.fault_plan_violations(plan)
+    if violations:
         raise ValueError(
-            f"crash schedule kills protected processes {sorted(overlap)}; the "
-            f"scenario {scenario.name} requires them to stay correct"
+            f"fault plan breaks the assumption of scenario {scenario.name}: "
+            + "; ".join(violations)
         )
 
     def factory(pid: int) -> Process:
@@ -128,7 +131,7 @@ def build_system(
         config=system_config,
         process_factory=factory,
         delay_model=scenario.build_delay_model(),
-        crash_schedule=schedule,
+        fault_plan=plan,
         tracer=tracer,
     )
 
@@ -139,7 +142,7 @@ def run_omega_experiment(
     duration: float = 600.0,
     seed: int = 0,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
     poll_interval: float = 5.0,
     start_jitter: float = 0.0,
 ) -> ExperimentResult:
@@ -158,8 +161,9 @@ def run_omega_experiment(
         Master seed (propagated to delays, crashes and jitter).
     config:
         Algorithm configuration; defaults to the scenario's recommendation.
-    crash_schedule:
-        Which processes crash and when; defaults to a failure-free run.
+    fault_plan:
+        Which processes crash (and recover) and when; defaults to a
+        failure-free run.
     poll_interval:
         Virtual-time distance between two leadership samples.
     """
@@ -169,7 +173,7 @@ def run_omega_experiment(
         algorithm_cls,
         seed=seed,
         config=config,
-        crash_schedule=crash_schedule,
+        fault_plan=fault_plan,
         start_jitter=start_jitter,
     )
     poller = LeaderPoller(system, interval=poll_interval)
@@ -213,7 +217,7 @@ def summarize_run(
         messages_by_tag=dict(system.stats.sent_by_tag),
         rounds_completed=rounds,
         bounds=audit_bounds(system, poller),
-        crashed=system.crash_schedule.faulty_ids(),
+        crashed=system.fault_plan.final_down_ids(),
     )
 
 
@@ -222,7 +226,7 @@ def compare_algorithms(
     algorithm_classes: Sequence[Type[RotatingStarOmegaBase]],
     duration: float = 600.0,
     seed: int = 0,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> List[ExperimentResult]:
     """Run several algorithms under the same scenario (same seed, same crashes)."""
     return [
@@ -231,7 +235,7 @@ def compare_algorithms(
             algorithm_cls,
             duration=duration,
             seed=seed,
-            crash_schedule=crash_schedule,
+            fault_plan=fault_plan,
         )
         for algorithm_cls in algorithm_classes
     ]

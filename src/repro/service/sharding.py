@@ -4,7 +4,7 @@ A single replicated log serialises every command through one leader — throughp
 bounded by one consensus pipeline.  :class:`ShardedService` scales out the paper's
 stack the standard way: the keyspace is hash-partitioned across ``S`` independent
 shard groups, each an autonomous ``AS_{n,t}`` system (its own Omega oracle, its own
-consensus instances, its own delay scenario and crash schedule), all multiplexed on
+consensus instances, its own delay scenario and fault plan), all multiplexed on
 **one** :class:`~repro.simulation.scheduler.EventScheduler` so a single virtual
 clock drives the whole deployment and cross-shard throughput is measured coherently.
 
@@ -28,7 +28,6 @@ from repro.core.figure3 import Figure3Omega
 from repro.core.omega_base import RotatingStarOmegaBase
 from repro.service.replica import ServiceReplica
 from repro.service.state_machine import KeyValueStore, StateMachine
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP, FaultPlan
 from repro.simulation.scheduler import EventScheduler
 from repro.simulation.system import System, SystemConfig
@@ -63,14 +62,10 @@ class ShardedService:
         Callable ``shard -> Scenario`` building the behavioural assumption of each
         group (defaults to an intermittent rotating star with a per-shard seed and
         a rotating centre).
-    crash_schedule_factory:
-        Optional callable ``shard -> CrashSchedule`` injecting per-shard crashes
-        (legacy adapter; converted to a pure crash-stop fault plan).
     fault_plan_factory:
         Optional callable ``shard -> FaultPlan`` injecting per-shard faults
         (crashes, recoveries, partitions, link faults, payload corruption).
-        Mutually exclusive with ``crash_schedule_factory``.  Plans that
-        permanently break a shard's assumption are recorded in
+        Plans that permanently break a shard's assumption are recorded in
         :attr:`assumption_violations`.
     adversary:
         Optional adaptive adversary (see :mod:`repro.simulation.adversary`);
@@ -144,7 +139,6 @@ class ShardedService:
         n: int,
         t: int,
         scenario_factory: Optional[Callable[[int], Scenario]] = None,
-        crash_schedule_factory: Optional[Callable[[int], CrashSchedule]] = None,
         fault_plan_factory: Optional[Callable[[int], FaultPlan]] = None,
         adversary=None,
         batch_size: Union[int, str, AdaptiveBatchPolicy] = 8,
@@ -160,11 +154,6 @@ class ShardedService:
         lease_validation: bool = True,
     ) -> None:
         require_positive(num_shards, "num_shards")
-        if crash_schedule_factory is not None and fault_plan_factory is not None:
-            raise ValueError(
-                "pass either crash_schedule_factory (legacy adapter) or "
-                "fault_plan_factory, not both"
-            )
         self.num_shards = int(num_shards)
         self.n = n
         self.t = t
@@ -231,12 +220,11 @@ class ShardedService:
                     f"t={scenario.t}), expected (n={n}, t={t})"
                 )
             omega_config = scenario.recommended_omega_config()
-            if fault_plan_factory is not None:
-                fault_plan = fault_plan_factory(shard)
-            elif crash_schedule_factory is not None:
-                fault_plan = FaultPlan.crash_stop(crash_schedule_factory(shard))
-            else:
-                fault_plan = FaultPlan.none()
+            fault_plan = (
+                fault_plan_factory(shard)
+                if fault_plan_factory is not None
+                else FaultPlan.none()
+            )
             self.assumption_violations[shard] = scenario.fault_plan_violations(
                 fault_plan
             )
@@ -250,7 +238,7 @@ class ShardedService:
                 # closing rule; enable the crash-recovery round fast-forward.
                 # An adversary injects such events at run time, so its mere
                 # presence enables the gap.  Pure crash-stop plans skip this,
-                # staying byte-identical to the legacy crash-schedule path.
+                # keeping the paper's exact round semantics.
                 omega_config = dataclasses.replace(
                     omega_config, round_resync_gap=DEFAULT_ROUND_RESYNC_GAP
                 )
@@ -657,28 +645,29 @@ def build_sharded_service(
 ) -> ShardedService:
     """Build a :class:`ShardedService` with the default star scenarios.
 
-    ``crashes_per_shard`` > 0 injects that many random crashes (at most ``t``) per
-    shard at uniform times in ``[0, crash_horizon]``, protecting each shard's star
-    centre so the liveness assumption keeps holding.  An explicit
-    ``crash_schedule_factory`` or ``fault_plan_factory`` keyword overrides the
-    random schedules.
+    ``crashes_per_shard`` > 0 injects that many random crash-stop faults (at
+    most ``t``) per shard at uniform times in ``[0, crash_horizon]``,
+    protecting each shard's star centre so the liveness assumption keeps
+    holding.  An explicit ``fault_plan_factory`` keyword overrides the random
+    plans.
     """
-    service_seed = seed
 
-    def crash_factory(shard: int) -> CrashSchedule:
+    def crash_plan(shard: int) -> FaultPlan:
         if crashes_per_shard <= 0:
-            return CrashSchedule.none()
-        return CrashSchedule.random(
+            return FaultPlan.none()
+        # FaultPlan.random crashes in the first half of its horizon.
+        return FaultPlan.random(
             n=n,
             t=t,
-            rng=RandomSource(derive_seed(service_seed, "crash", shard)),
-            horizon=crash_horizon,
-            count=min(crashes_per_shard, t),
+            rng=RandomSource(derive_seed(seed, "crash", shard)),
+            horizon=2 * crash_horizon,
+            crash_count=min(crashes_per_shard, t),
+            recover_probability=0.0,
             protect=[shard % n],
         )
 
     if kwargs.get("fault_plan_factory") is None:
-        kwargs.setdefault("crash_schedule_factory", crash_factory)
+        kwargs["fault_plan_factory"] = crash_plan
     return ShardedService(
         num_shards=num_shards,
         n=n,

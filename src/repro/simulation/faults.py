@@ -1,10 +1,10 @@
 """Unified fault-plan engine: crashes, recoveries, partitions, link faults and
 message corruption.
 
-The paper's failure model is crash-stop, and the seed codebase hard-wired it in
-four disconnected places (:class:`~repro.simulation.crash.CrashSchedule`, the
-delay models, the fair-lossy channel models and the scenario layer).  This module
-replaces that with one composable surface:
+The paper's failure model is crash-stop with at most ``t`` crashes:
+:meth:`FaultPlan.crashes` (or :meth:`FaultPlan.random` with
+``recover_probability=0.0``) plus :meth:`FaultPlan.validate` express exactly
+that.  The same surface composes the faults beyond the paper's model:
 
 * a :class:`FaultEvent` is one timed fault — :class:`Crash`, :class:`Recover`,
   :class:`PartitionStart` / :class:`PartitionHeal`, :class:`LinkFault` /
@@ -31,11 +31,10 @@ loss rather than divergent replica state.
 
 Determinism and the hot path
 ----------------------------
-A plan containing only :class:`Crash` events is executed exactly like the
-equivalent :class:`CrashSchedule` used to be: no :class:`LinkState` is installed
-(the network's per-message cost is a single ``is None`` check), the delay model's
-RNG stream is untouched, and crash events occupy the same scheduler positions —
-seeded runs are byte-identical to the pre-engine behaviour.  Topology faults
+A plan containing only :class:`Crash` events installs no :class:`LinkState`
+(the network's per-message cost is a single ``is None`` check), leaves the delay
+model's RNG stream untouched, and schedules its crashes in plan order — seeded
+runs are byte-identical to the pre-engine crash-stop behaviour.  Topology faults
 draw their loss decisions from a dedicated, labelled RNG stream so that
 activating them never perturbs delay draws.
 
@@ -66,7 +65,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.corruption import corrupt_message
-from repro.simulation.crash import CrashSchedule
 from repro.util.rng import RandomSource
 from repro.util.validation import (
     require_in_range,
@@ -348,9 +346,9 @@ class FaultPlan:
     """A declarative, ordered collection of :class:`FaultEvent`\\ s.
 
     Events are kept in insertion order; events sharing a timestamp are applied in
-    that order (the scheduler breaks timestamp ties by scheduling order), which is
-    what makes a :meth:`crash_stop` plan execute identically to the legacy
-    :class:`~repro.simulation.crash.CrashSchedule` path.
+    that order (the scheduler breaks timestamp ties by scheduling order), so a
+    plan replays the same execution whenever its events are given in the same
+    order.
     """
 
     def __init__(self, events: Optional[Iterable[FaultEvent]] = None) -> None:
@@ -381,15 +379,6 @@ class FaultPlan:
     def crashes(cls, crash_times: Mapping[int, float]) -> "FaultPlan":
         """Pure crash-stop plan from a ``pid -> time`` mapping (insertion order)."""
         return cls(Crash(time=float(t), pid=int(pid)) for pid, t in crash_times.items())
-
-    @classmethod
-    def crash_stop(cls, schedule: CrashSchedule) -> "FaultPlan":
-        """Adapter: the plan equivalent to a legacy :class:`CrashSchedule`.
-
-        Event order follows ``schedule.items()`` so that seeded executions are
-        byte-identical to the pre-engine crash-schedule path.
-        """
-        return cls(Crash(time=t, pid=pid) for pid, t in schedule.items())
 
     @classmethod
     def rolling_restarts(
@@ -627,10 +616,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def is_crash_stop_only(self) -> bool:
-        """True when the plan contains nothing but :class:`Crash` events."""
-        return all(type(event) is Crash for event in self.events)
-
     def has_topology_events(self) -> bool:
         """True when the plan needs a :class:`LinkState` matrix."""
         return any(isinstance(event, _TOPOLOGY_EVENTS) for event in self.events)
@@ -677,25 +662,6 @@ class FaultPlan:
         """Processes that are *eventually up* under the plan, out of ``range(n)``."""
         down = set(self.final_down_ids())
         return [pid for pid in range(n) if pid not in down]
-
-    def to_crash_schedule(self) -> CrashSchedule:
-        """Legacy view: each eventually-down process at its *final* crash time.
-
-        For a pure crash-stop plan this is the exact inverse of
-        :meth:`crash_stop` (same pids, same times, same order).
-        """
-        final_crash: Dict[int, float] = {}
-        for event in self._chronological():
-            if type(event) is Crash:
-                final_crash[event.pid] = event.time
-            elif type(event) is Recover:
-                final_crash.pop(event.pid, None)
-        if self.is_crash_stop_only():
-            # Preserve plan (insertion) order for byte-identical legacy behaviour.
-            return CrashSchedule(
-                {event.pid: event.time for event in self.events if event.pid in final_crash}
-            )
-        return CrashSchedule(final_crash)
 
     def final_partition(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
         """The partition still in force at the end of the plan, or ``None``."""

@@ -33,13 +33,18 @@ never influences results (fingerprints exclude every wall measurement).
 
 Throughput accounting
 ---------------------
-The merged report carries two honest rates: ``events_per_sec`` divides the
-total event count by the whole-run wall time (what this machine actually
-sustained end to end, pool start-up included), and
-``aggregate_events_per_sec`` sums the per-shard rates ``events_i / wall_i``
-(the deployment-level rate of the worker fleet — on a single-core host the
-two coincide up to pool overhead; with real cores they diverge by the
-parallel speedup).
+The merged report carries two rates with different denominators:
+
+* ``events_per_sec`` divides the total event count by the whole-run wall time
+  (what this machine actually sustained end to end, pool start-up included);
+* ``aggregate_events_per_sec`` sums the per-shard rates ``events_i / wall_i``,
+  each divided by that shard's own wall time only.  It is the rate the run
+  would reach if every shard had a core to itself.
+
+The two do not coincide.  Shards sharing a core run one after another, so
+each ``wall_i`` is a fraction of the whole-run time and the sum exceeds
+``events_per_sec`` by about ``num_shards / cores used``: an inline run
+(``workers=0``) of ten shards reports roughly ten times ``events_per_sec``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from repro.consensus.stack import OmegaConsensusStack
 from repro.core.config import OmegaConfig
 from repro.core.figure3 import Figure3Omega
 from repro.core.omega_base import RotatingStarOmegaBase
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
 
@@ -27,7 +26,6 @@ def build_omega_system(
     scenario: Scenario,
     algorithm_cls: Type[RotatingStarOmegaBase] = Figure3Omega,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
     seed: int = 0,
     tracer: Optional[object] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -45,13 +43,11 @@ def build_omega_system(
         Which of the paper's algorithms to run (Figure 3 by default).
     config:
         Algorithm configuration override.
-    crash_schedule:
-        Crash injection plan (failure-free by default; legacy adapter).
     seed:
         Master seed of the run.
     fault_plan:
-        Full fault plan (crashes, recoveries, partitions, link faults);
-        mutually exclusive with ``crash_schedule``.
+        Fault plan (crashes, recoveries, partitions, link faults);
+        failure-free by default.
     """
     if (n, t) != (scenario.n, scenario.t):
         raise ValueError(
@@ -67,7 +63,6 @@ def build_omega_system(
         config=SystemConfig(n=n, t=t, seed=seed),
         process_factory=factory,
         delay_model=scenario.build_delay_model(),
-        crash_schedule=crash_schedule,
         fault_plan=fault_plan,
         tracer=tracer,
     )
@@ -79,7 +74,6 @@ def build_consensus_system(
     scenario: Scenario,
     omega_cls: Type[RotatingStarOmegaBase] = Figure3Omega,
     omega_config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
     seed: int = 0,
     drive_period: float = 2.0,
     batch_size: int = 1,
@@ -115,7 +109,6 @@ def build_consensus_system(
         config=SystemConfig(n=n, t=t, seed=seed),
         process_factory=factory,
         delay_model=scenario.build_delay_model(),
-        crash_schedule=crash_schedule,
         fault_plan=fault_plan,
         tracer=tracer,
     )

@@ -11,7 +11,7 @@ from repro.analysis.experiments import (
 )
 from repro.assumptions import EventualTSourceScenario, IntermittentRotatingStarScenario
 from repro.core import Figure1Omega, Figure3Omega, OmegaConfig
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 
 
 class TestBuildSystem:
@@ -23,10 +23,14 @@ class TestBuildSystem:
 
     def test_rejects_crashing_the_protected_center(self):
         scenario = EventualTSourceScenario(n=5, t=2, center=3, seed=0)
-        with pytest.raises(ValueError, match="protected"):
+        with pytest.raises(ValueError, match="protected process 3 is permanently down"):
             build_system(
-                scenario, Figure3Omega, crash_schedule=CrashSchedule({3: 10.0})
+                scenario, Figure3Omega, fault_plan=FaultPlan.crashes({3: 10.0})
             )
+        # A centre crash the plan later recovers leaves the assumption intact.
+        restart = FaultPlan.rolling_restarts([3], start=10.0, downtime=20.0)
+        system = build_system(scenario, Figure3Omega, fault_plan=restart)
+        assert system.correct_ids() == [0, 1, 2, 3, 4]
 
     def test_config_override(self):
         scenario = EventualTSourceScenario(n=5, t=2, seed=0)
@@ -56,7 +60,7 @@ class TestRunOmegaExperiment:
             Figure3Omega,
             duration=150.0,
             seed=3,
-            crash_schedule=CrashSchedule({1: 20.0}),
+            fault_plan=FaultPlan.crashes({1: 20.0}),
         )
         assert result.crashed == [1]
         assert result.final_leader != 1

@@ -19,7 +19,6 @@ import json
 
 from repro.core.figure3 import Figure3Omega
 from repro.service import build_sharded_service, start_clients, zipfian_workload
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.delays import UniformDelay
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
@@ -195,12 +194,12 @@ class TestDeterminism:
 
 
 class TestCrashStopPlanEquivalence:
-    def test_crash_only_plan_fingerprint_matches_crash_schedule(self):
-        """Acceptance criterion: a FaultPlan of only Crash events is
-        byte-identical (same SHA-256 run fingerprint) to the equivalent legacy
-        CrashSchedule on the seeded omega-broadcast workload."""
+    def test_crash_only_plan_fingerprint_matches_pinned_digest(self):
+        """A FaultPlan of only Crash events reproduces, byte for byte (same
+        SHA-256 run fingerprint), the seeded omega-broadcast execution of the
+        crash-stop schedule it replaced; the digest was recorded from that
+        schedule's run."""
         n, t = 6, 2
-        schedule = CrashSchedule({4: 25.0, 1: 55.0})
 
         def fingerprint(**kwargs):
             system = System(
@@ -222,6 +221,6 @@ class TestCrashStopPlanEquivalence:
                 }
             )
 
-        legacy = fingerprint(crash_schedule=schedule)
-        planned = fingerprint(fault_plan=FaultPlan.crash_stop(schedule))
-        assert legacy == planned
+        assert fingerprint(fault_plan=FaultPlan.crashes({4: 25.0, 1: 55.0})) == (
+            "b10bb6696136a9d105e9ef416e40ad7428a4532d93dd587ecfefdfedf33aede5"
+        )

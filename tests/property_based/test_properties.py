@@ -207,22 +207,25 @@ class TestNetworkReliabilityProperty:
         assert network.stats.total_dropped == 0
 
 
-class TestRandomCrashScheduleProperty:
+class TestRandomCrashStopPlanProperty:
     @given(
         st.integers(min_value=3, max_value=12),
         st.integers(min_value=0, max_value=2**31),
     )
-    def test_random_schedule_always_respects_t(self, n, seed):
-        from repro.simulation.crash import CrashSchedule
+    def test_random_crash_stop_plan_always_respects_t(self, n, seed):
+        from repro.simulation.faults import Crash, FaultPlan
 
         t = (n - 1) // 2
-        schedule = CrashSchedule.random(
-            n=n, t=t, rng=RandomSource(seed), horizon=50.0, protect=[0]
+        plan = FaultPlan.random(
+            n=n, t=t, rng=RandomSource(seed), horizon=50.0,
+            recover_probability=0.0, protect=[0],
         )
-        schedule.validate(n, t)
-        assert len(schedule) <= t
-        assert 0 not in schedule.faulty_ids()
-        assert all(0.0 <= time <= 50.0 for _, time in schedule.items())
+        plan.validate(n, t)
+        assert all(type(event) is Crash for event in plan.events)
+        assert len(plan) <= t
+        assert 0 not in plan.final_down_ids()
+        # Crashes fall in the first half of the horizon.
+        assert all(0.0 <= event.time <= 25.0 for event in plan.events)
 
 
 class TestConsensusAcceptorProperty:

@@ -1,12 +1,14 @@
 """Unit tests for the fault-plan engine (plans, link state, injector, recovery)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import Figure3Omega, OmegaConfig
 from repro.simulation import (
     ConstantDelay,
     Crash,
-    CrashSchedule,
     FaultPlan,
     LinkFault,
     LinkHeal,
@@ -21,7 +23,7 @@ from repro.simulation import (
 from repro.util.rng import RandomSource
 
 
-def build(n=4, t=1, seed=0, fault_plan=None, crash_schedule=None, delay=None):
+def build(n=4, t=1, seed=0, fault_plan=None, delay=None):
     config = SystemConfig(n=n, t=t, seed=seed)
     omega_config = OmegaConfig()
 
@@ -29,29 +31,16 @@ def build(n=4, t=1, seed=0, fault_plan=None, crash_schedule=None, delay=None):
         return Figure3Omega(pid=pid, n=n, t=t, config=omega_config)
 
     delay_model = delay if delay is not None else ConstantDelay(0.2)
-    return System(
-        config,
-        factory,
-        delay_model,
-        crash_schedule=crash_schedule,
-        fault_plan=fault_plan,
-    )
+    return System(config, factory, delay_model, fault_plan=fault_plan)
 
 
 class TestFaultPlanBuilders:
     def test_none_is_empty_and_crash_stop_only(self):
         plan = FaultPlan.none()
         assert len(plan) == 0
-        assert plan.is_crash_stop_only()
+        assert plan.final_down_ids() == []
         assert not plan.has_topology_events()
         assert not plan.has_recoveries()
-
-    def test_crash_stop_round_trips_through_crash_schedule(self):
-        schedule = CrashSchedule({3: 40.0, 1: 10.0})
-        plan = FaultPlan.crash_stop(schedule)
-        assert plan.is_crash_stop_only()
-        back = plan.to_crash_schedule()
-        assert list(back.items()) == list(schedule.items())
 
     def test_rolling_restarts_alternates_crash_and_recover(self):
         plan = FaultPlan.rolling_restarts([0, 1], start=10.0, downtime=5.0)
@@ -128,40 +117,33 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             PartitionStart(time=1.0, groups=((0, 1), (1, 2)))
 
-    def test_system_rejects_both_crash_schedule_and_fault_plan(self):
-        with pytest.raises(ValueError):
-            build(
-                crash_schedule=CrashSchedule({1: 5.0}),
-                fault_plan=FaultPlan.none(),
-            )
-
 
 class TestCrashStopEquivalence:
-    def test_crash_only_plan_matches_crash_schedule_execution(self):
-        """A pure-crash FaultPlan is byte-identical to the legacy path."""
-        schedule = CrashSchedule({2: 15.0, 0: 40.0})
+    def test_crash_only_plan_execution_matches_pinned_digest(self):
+        """A pure-crash FaultPlan replays, byte for byte, the execution of
+        the crash-stop schedule it replaced (digest recorded from that run)."""
+        system = build(
+            t=2,
+            seed=9,
+            delay=UniformDelay(0.2, 1.5, RandomSource(9)),
+            fault_plan=FaultPlan.crashes({2: 15.0, 0: 40.0}),
+        )
+        system.run_until(80.0)
+        run = {
+            "executed": system.scheduler.executed,
+            "stats": system.stats.as_dict(),
+            "histories": {
+                shell.pid: shell.algorithm.leader_history for shell in system.shells
+            },
+        }
+        blob = json.dumps(run, sort_keys=True, default=repr).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1640351b0d3957c87fb5578e45d9d2244823ec4cd35f7f5d357d5bc4876867b4"
+        )
 
-        def run(**kwargs):
-            system = build(
-                t=2, seed=9, delay=UniformDelay(0.2, 1.5, RandomSource(9)), **kwargs
-            )
-            system.run_until(80.0)
-            return {
-                "executed": system.scheduler.executed,
-                "stats": system.stats.as_dict(),
-                "histories": {
-                    shell.pid: shell.algorithm.leader_history
-                    for shell in system.shells
-                },
-            }
-
-        legacy = run(crash_schedule=schedule)
-        planned = run(fault_plan=FaultPlan.crash_stop(schedule))
-        assert legacy == planned
-
-    def test_crash_schedule_attribute_reflects_plan(self):
+    def test_final_down_ids_reflect_plan(self):
         system = build(fault_plan=FaultPlan.crashes({2: 15.0}))
-        assert system.crash_schedule.faulty_ids() == [2]
+        assert system.fault_plan.final_down_ids() == [2]
         assert system.correct_ids() == [0, 1, 3]
 
 
@@ -313,14 +295,14 @@ class TestCorrectShellCacheInvalidation:
         assert len(system.fault_plan) == 1
         system.fault_plan.validate(4, 1)
 
-    def test_crash_schedule_view_reflects_injected_crashes(self):
-        """Regression: the legacy crash_schedule view must not be frozen at
-        construction — experiment reports read the crashed set from it."""
+    def test_final_down_ids_reflect_injected_crashes(self):
+        """Regression: the crashed set must not be frozen at construction —
+        experiment reports read it from ``fault_plan.final_down_ids()``."""
         system = build()
-        assert system.crash_schedule.faulty_ids() == []
+        assert system.fault_plan.final_down_ids() == []
         system.inject_fault(Crash(time=10.0, pid=2))
-        assert system.crash_schedule.faulty_ids() == [2]
-        assert system.crash_schedule.crash_time(2) == 10.0
+        assert system.fault_plan.final_down_ids() == [2]
+        assert system.correct_ids() == [0, 1, 3]
 
 
 class TestPartitions:
